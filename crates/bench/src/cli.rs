@@ -9,13 +9,21 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `--name value` pairs from `std::env::args`.
+    /// Parse `--name value` pairs from `std::env::args`. A `--name`
+    /// followed by another `--flag` or by the end of argv is a boolean
+    /// and takes no value.
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1))
+    }
+
+    fn parse_from(argv: impl IntoIterator<Item = String>) -> Self {
         let mut flags = HashMap::new();
-        let mut argv = std::env::args().skip(1);
+        let mut argv = argv.into_iter().peekable();
         while let Some(arg) = argv.next() {
             if let Some(name) = arg.strip_prefix("--") {
-                let value = argv.next().unwrap_or_else(|| "true".to_string());
+                let value = argv
+                    .next_if(|next| !next.starts_with("--"))
+                    .unwrap_or_else(|| "true".to_string());
                 flags.insert(name.to_string(), value);
             }
         }
@@ -59,5 +67,25 @@ mod tests {
         assert_eq!(args.usize("keys", 7), 7);
         assert_eq!(args.string("workload", "read-only"), "read-only");
         assert!(!args.flag("grid"));
+    }
+
+    fn parse(argv: &[&str]) -> Args {
+        Args::parse_from(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn boolean_flags_do_not_swallow_the_next_flag() {
+        let args = parse(&["--csv", "--keys", "7"]);
+        assert!(args.flag("csv"));
+        assert_eq!(args.usize("keys", 0), 7);
+
+        let args = parse(&["--keys", "7", "--csv"]);
+        assert!(args.flag("csv"));
+        assert_eq!(args.usize("keys", 0), 7);
+
+        let args = parse(&["--keys", "7", "--csv", "--ops", "9"]);
+        assert!(args.flag("csv"));
+        assert_eq!(args.usize("keys", 0), 7);
+        assert_eq!(args.usize("ops", 0), 9);
     }
 }

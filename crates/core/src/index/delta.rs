@@ -7,9 +7,9 @@
 //! of the leaf — the gapped base array is shared through an `Arc`, the
 //! delta gains one entry. Readers merge the two on the fly; when the
 //! buffer reaches the configured capacity
-//! (`AlexConfig::delta_buffer_capacity`) the writer folds it into a
-//! fresh base array (one real leaf clone) and publishes that with an
-//! empty buffer. A leaf write thus costs `O(delta)` instead of
+//! ([`AlexConfig::delta_buffer`](crate::AlexConfig::delta_buffer))
+//! the writer folds it into a fresh base array (one real leaf clone)
+//! and publishes that with an empty buffer. A leaf write thus costs `O(delta)` instead of
 //! `O(leaf)`, with one `O(leaf)` flush every `capacity` writes —
 //! `O(leaf / capacity)` amortized.
 //!

@@ -101,7 +101,7 @@ pub mod stats;
 
 mod slots;
 
-pub use config::{AlexConfig, DeltaBuffer, NodeLayout, NodeParams, Placement, RmiMode, StoreMode};
+pub use config::{AlexConfig, NodeLayout, NodeParams, Placement, RmiMode, StoreMode};
 pub use gapped::{GappedNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;

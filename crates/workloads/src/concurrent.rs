@@ -5,12 +5,10 @@
 //! inside a `std::thread::scope`, against any [`ConcurrentIndex`] — an
 //! index whose operations (including inserts and removes) take `&self`
 //! and are safe under concurrent callers. The flagship backend is
-//! `alex_sharded::ShardedAlex` on its default **epoch read path**
-//! (reads never take a lock; splits retire nodes through
-//! `alex_core::epoch`), with the per-shard-`RwLock` path and the
-//! reference [`LockedBTreeMap`](alex_api::LockedBTreeMap) as the
-//! blocking baselines — `fig5_threads --read-path both` sweeps the
-//! comparison.
+//! `alex_sharded::ShardedAlex`, whose epoch read path never takes a
+//! lock (splits retire nodes through `alex_core::epoch`); the
+//! reference [`LockedBTreeMap`](alex_api::LockedBTreeMap) is the
+//! blocking baseline.
 //!
 //! The op budget is split evenly across threads; the insert-key pool is
 //! partitioned so threads never race on the same key. Each thread draws

@@ -13,8 +13,7 @@
 //! Internally synchronized backends additionally instantiate the
 //! `concurrent` section (scoped readers vs. one writer, payload
 //! equality at quiescence, and `&self` batch writes under reader load
-//! ≡ per-key inserts): the sharded front-end on *both* read paths,
-//! the raw epoch-protected `EpochAlex` (whose batch path publishes
+//! ≡ per-key inserts): the sharded front-end, the raw epoch-protected `EpochAlex` (whose batch path publishes
 //! once per leaf run), and the locked-map reference.
 
 use alex_repro::alex_api;
@@ -23,7 +22,7 @@ use alex_repro::alex_btree::BPlusTree;
 use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex, StoreMode};
 use alex_repro::alex_learned_index::LearnedIndex;
 use alex_repro::alex_pma::PmaMap;
-use alex_repro::alex_sharded::{ReadPath, ShardedAlex};
+use alex_repro::alex_sharded::ShardedAlex;
 use alex_repro::alex_workloads::LockedBTreeMap;
 
 alex_api::conformance_suite!(alex_ga_armi, |pairs: &[(u64, u64)]| {
@@ -76,19 +75,6 @@ alex_api::conformance_suite!(
     sharded_alex,
     |pairs: &[(u64, u64)]| {
         ShardedAlex::bulk_load(pairs, 4, AlexConfig::ga_armi().with_max_node_keys(256))
-    },
-    concurrent
-);
-
-alex_api::conformance_suite!(
-    sharded_alex_locked,
-    |pairs: &[(u64, u64)]| {
-        ShardedAlex::bulk_load_in(
-            ReadPath::Locked,
-            pairs,
-            4,
-            AlexConfig::ga_armi().with_max_node_keys(256),
-        )
     },
     concurrent
 );
