@@ -22,7 +22,7 @@ use alex_core::{AlexConfig, AlexIndex};
 use alex_datasets::{longitudes_keys, sorted, ScrambledZipf};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "lookups", "seed", "csv"]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let lookups = args.usize("lookups", 500_000);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -16,7 +16,7 @@ use alex_datasets::{lognormal_keys, longitudes_keys, longlat_keys, ycsb_keys, Da
 use alex_workloads::WorkloadKind;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "ops", "seed", "csv"]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let ops = args.usize("ops", DEFAULT_OPS / 2);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "searches", "seed", "csv"]);
     let n = args.usize("keys", 10_000_000);
     let searches = args.usize("searches", 1_000_000);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -15,7 +15,7 @@ use alex_core::{AlexConfig, AlexIndex};
 use alex_datasets::{longitudes_keys, sorted};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "seed", "max-node-keys", "csv"]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let seed = args.u64("seed", DEFAULT_SEED);
     let max_keys = args.usize("max-node-keys", 8192);

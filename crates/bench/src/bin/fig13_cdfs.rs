@@ -16,7 +16,7 @@ use alex_datasets::{
 };
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "points", "seed", "csv"]);
     let n = args.usize("keys", 200_000);
     let points = args.usize("points", 16);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -35,7 +35,7 @@ use alex_workloads::WorkloadKind;
 type UrlKey = FixedStr<32>;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "n", "ops", "seed", "workload", "csv"]);
     // `--keys` is either a count (the numeric datasets) or the literal
     // `string` (the FixedStr URL dataset, count via `--n`).
     let string_keys = args.string("keys", "") == "string";

@@ -14,7 +14,7 @@ use alex_datasets::longitudes_keys;
 use alex_workloads::WorkloadKind;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["max-keys", "ops", "seed", "csv"]);
     let max_keys = args.usize("max-keys", 2_000_000);
     let ops = args.usize("ops", DEFAULT_OPS / 2);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -15,7 +15,7 @@ use alex_datasets::sequential_keys;
 use alex_workloads::WorkloadKind;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "ops", "seed", "csv"]);
     let n = args.usize("keys", 500_000);
     let ops = args.usize("ops", DEFAULT_OPS);
     let _ = args.u64("seed", DEFAULT_SEED);

@@ -16,7 +16,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "ops", "seed", "csv"]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let ops = args.usize("ops", DEFAULT_OPS);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -129,7 +129,16 @@ fn open_loop_sweep(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "keys",
+        "ops",
+        "seed",
+        "max-threads",
+        "shards",
+        "workload",
+        "arrival-rate",
+        "csv",
+    ]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let ops = args.usize("ops", DEFAULT_OPS);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -45,7 +45,7 @@ impl LifetimeIndex for BPlusTree<f64, u64> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "seed", "dataset", "batches", "csv"]);
     let n = args.usize("keys", 1_000_000);
     let seed = args.u64("seed", DEFAULT_SEED);
     let dataset = args.string("dataset", "longitudes");

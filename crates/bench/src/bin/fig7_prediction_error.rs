@@ -15,7 +15,7 @@ use alex_datasets::{longitudes_keys, sorted};
 use alex_learned_index::LearnedIndex;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "seed", "csv"]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let seed = args.u64("seed", DEFAULT_SEED);
     let insert_extra = n / 5; // "after 20M inserts" on a 100M init, scaled

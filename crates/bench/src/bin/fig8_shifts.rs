@@ -15,7 +15,7 @@ use alex_datasets::longitudes_keys;
 use alex_learned_index::{DeltaLearnedIndex, LearnedIndex};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "seed", "csv"]);
     let n = args.usize("keys", 400_000);
     let seed = args.u64("seed", DEFAULT_SEED);
     let csv = args.flag("csv");

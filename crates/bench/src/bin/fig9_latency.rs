@@ -20,7 +20,7 @@ use alex_datasets::longitudes_keys;
 const MINIBATCH: usize = 1000;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "seed", "csv"]);
     let n = args.usize("keys", 500_000);
     let seed = args.u64("seed", DEFAULT_SEED);
     let csv = args.flag("csv");

@@ -40,7 +40,7 @@ use rand::{RngExt, SeedableRng};
 const RUN: &str = "fig_probe";
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "searches", "seed", "csv", "probe-keys"]);
     let n = args.usize("keys", 1_000_000);
     let searches = args.usize("searches", 200_000);
     let seed = args.u64("seed", DEFAULT_SEED);

@@ -45,7 +45,7 @@ fn wal_bytes(dir: &std::path::Path) -> u64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "max-tail", "csv"]);
     let n = args.usize("keys", 200_000);
     let max_tail = args.usize("max-tail", n);
     let format = ReportFormat::from_flag(args.flag("csv"));

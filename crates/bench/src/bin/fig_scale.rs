@@ -276,7 +276,15 @@ fn run_step(n: usize, budget_bytes: usize, reads: usize, rounds: usize, seed: u6
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "keys-start",
+        "steps",
+        "mem-budget-mb",
+        "reads",
+        "rebalance-rounds",
+        "seed",
+        "csv",
+    ]);
     let keys_start = args.usize("keys-start", 100_000);
     let steps = args.usize("steps", 3);
     let budget_mb = args.usize("mem-budget-mb", 256);

@@ -83,7 +83,7 @@ fn insert_stream(n: usize, ops: usize, shuffled: bool) -> Vec<(u64, u64)> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "ops", "delta-cap", "csv"]);
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
     let ops = args.usize("ops", (n / 5).max(1));
     let cap = args.usize("delta-cap", 32);

@@ -29,7 +29,7 @@ use alex_bench::cli::Args;
 type Rows = BTreeMap<(String, String, String, String), String>;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["a", "b"]);
     let a_dir = args.string("a", "benchmarks");
     let b_dir = args.string("b", "");
 

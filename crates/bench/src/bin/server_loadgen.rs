@@ -32,7 +32,18 @@ use alex_server::{run_load, Arrival, LoadSpec, Server, ServerConfig};
 use alex_sharded::ShardedAlex;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "keys",
+        "ops",
+        "clients",
+        "shards",
+        "rate",
+        "read-pct",
+        "queue-cap",
+        "max-batch",
+        "seed",
+        "csv",
+    ]);
     let n = args.usize("keys", 200_000);
     let ops = args.usize("ops", DEFAULT_OPS.min(100_000));
     let clients = args.usize("clients", 4);

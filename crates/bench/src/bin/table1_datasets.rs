@@ -13,7 +13,7 @@ use alex_bench::DEFAULT_SEED;
 use alex_datasets::{lognormal_keys, longitudes_keys, longlat_keys, url_keys, ycsb_keys, Dataset};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "n", "seed", "csv"]);
     // `--keys` is either a count (the numeric datasets) or the literal
     // `string` (the FixedStr URL dataset, count via `--n`).
     let string_keys = args.string("keys", "") == "string";

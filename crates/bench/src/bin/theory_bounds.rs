@@ -17,7 +17,7 @@ use alex_core::analysis::{
 use alex_datasets::{lognormal_keys, longitudes_keys, sorted, uniform_dense_keys, ycsb_keys};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["keys", "seed", "csv"]);
     let n = args.usize("keys", 20_000);
     let seed = args.u64("seed", DEFAULT_SEED);
     let csv = args.flag("csv");

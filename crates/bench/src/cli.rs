@@ -11,23 +11,32 @@ pub struct Args {
 impl Args {
     /// Parse `--name value` pairs from `std::env::args`. A `--name`
     /// followed by another `--flag` or by the end of argv is a boolean
-    /// and takes no value.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+    /// and takes no value. `known` lists every flag the binary reads;
+    /// any other `--flag`, or a bare argument, prints an error naming
+    /// it and exits with status 2.
+    pub fn parse(known: &[&str]) -> Self {
+        Self::parse_from(known, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
-    fn parse_from(argv: impl IntoIterator<Item = String>) -> Self {
+    fn parse_from(known: &[&str], argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut flags = HashMap::new();
         let mut argv = argv.into_iter().peekable();
         while let Some(arg) = argv.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = argv
-                    .next_if(|next| !next.starts_with("--"))
-                    .unwrap_or_else(|| "true".to_string());
-                flags.insert(name.to_string(), value);
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name} (accepted: --{})", known.join(", --")));
             }
+            let value = argv
+                .next_if(|next| !next.starts_with("--"))
+                .unwrap_or_else(|| "true".to_string());
+            flags.insert(name.to_string(), value);
         }
-        Self { flags }
+        Ok(Self { flags })
     }
 
     /// A `usize` flag with a default.
@@ -69,8 +78,12 @@ mod tests {
         assert!(!args.flag("grid"));
     }
 
+    fn parse_with(known: &[&str], argv: &[&str]) -> Result<Args, String> {
+        Args::parse_from(known, argv.iter().map(|a| a.to_string()))
+    }
+
     fn parse(argv: &[&str]) -> Args {
-        Args::parse_from(argv.iter().map(|a| a.to_string()))
+        parse_with(&["csv", "keys", "ops"], argv).unwrap()
     }
 
     #[test]
@@ -87,5 +100,14 @@ mod tests {
         assert!(args.flag("csv"));
         assert_eq!(args.usize("keys", 0), 7);
         assert_eq!(args.usize("ops", 0), 9);
+    }
+
+    #[test]
+    fn unknown_flags_and_bare_arguments_are_rejected() {
+        let err = parse_with(&["csv", "keys"], &["--csv", "--kyes", "7"]).unwrap_err();
+        assert!(err.contains("--kyes"), "error must name the flag: {err}");
+        let err = parse_with(&["keys"], &["--keys", "7", "8"]).unwrap_err();
+        assert!(err.contains("\"8\""), "error must name the argument: {err}");
+        assert!(parse_with(&[], &[]).is_ok());
     }
 }

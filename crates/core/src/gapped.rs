@@ -501,7 +501,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "read-stats")]
     fn read_stats_count_direct_hits() {
         let node = GappedNode::bulk_load(&sorted_pairs(1000, 5), params());
         for k in 0..1000u64 {

@@ -342,11 +342,10 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     }
 
     /// Aggregated read counters `(lookups, comparisons, direct_hits)`
-    /// summed over the current leaf snapshots. All zero without the
-    /// `read-stats` feature. Counters ride the leaf snapshots, so a
-    /// concurrent flush (which rebuilds the base array) may fold a
-    /// leaf's tallies — treat the numbers as advisory load signals,
-    /// which is all the shard rebalancer needs.
+    /// summed over the current leaf snapshots. Counters ride the leaf
+    /// snapshots, so a concurrent flush (which rebuilds the base array)
+    /// may fold a leaf's tallies — treat the numbers as advisory load
+    /// signals, which is all the shard rebalancer needs.
     pub fn read_stats(&self) -> (u64, u64, u64) {
         let _guard = self.index.store.pin();
         self.index.read_stats()

@@ -1,4 +1,4 @@
-//! One log per shard: [`DurableShardedAlex`] (feature `durability`).
+//! One log per shard: [`DurableShardedAlex`].
 //!
 //! Each shard is a full [`DurableAlex`] in its own subdirectory
 //! (`shard-0000`, `shard-0001`, …) with its own WAL, snapshots, and
@@ -20,17 +20,17 @@
 //! therefore recover different shards to different LSN frontiers —
 //! each one an exact prefix of its own operation sequence.
 //!
-//! [`ShardedAlex`]: crate::ShardedAlex
+//! [`ShardedAlex`]: alex_sharded::ShardedAlex
 
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use alex_core::AlexConfig;
+use alex_core::{AlexConfig, InsertError};
 use alex_wal::record::Lsn;
 use alex_wal::{crc32, DurableAlex, DurableKey, RecoveryReport, WalCodec, WalOptions};
 
-use crate::{route_key, sample_cdf_boundaries, split_sorted_runs};
+use alex_sharded::{route_key, sample_cdf_boundaries, split_sorted_runs};
 
 const SHARDS_MAGIC: &[u8; 8] = b"ALEXSHRD";
 
@@ -105,7 +105,7 @@ where
     /// `SHARDS`, and each shard's slice becomes a [`DurableAlex`]
     /// (whose `create` snapshots the load immediately).
     ///
-    /// [`ShardedAlex::bulk_load`]: crate::ShardedAlex::bulk_load
+    /// [`ShardedAlex::bulk_load`]: alex_sharded::ShardedAlex::bulk_load
     ///
     /// # Panics
     /// Panics if `num_shards == 0`, or (debug builds) if `pairs` is
@@ -213,7 +213,7 @@ where
     /// by the owning shard's lock-free `get_many` (mirrors
     /// [`ShardedAlex::get_many`]).
     ///
-    /// [`ShardedAlex::get_many`]: crate::ShardedAlex::get_many
+    /// [`ShardedAlex::get_many`]: alex_sharded::ShardedAlex::get_many
     ///
     /// # Panics
     /// Panics (debug builds) if `keys` is not sorted non-decreasing.
@@ -248,7 +248,7 @@ where
         if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                alex_core::InsertError::UnsupportedKey,
+                InsertError::UnsupportedKey,
             ));
         }
         let mut inserted = 0usize;
@@ -271,7 +271,7 @@ where
     /// shard boundaries one shard at a time (same relaxation as
     /// [`ShardedAlex::scan_from`]). Returns the number visited.
     ///
-    /// [`ShardedAlex::scan_from`]: crate::ShardedAlex::scan_from
+    /// [`ShardedAlex::scan_from`]: alex_sharded::ShardedAlex::scan_from
     pub fn scan_from(&self, key: &K, limit: usize, mut f: impl FnMut(&K, &V)) -> usize {
         let mut visited = 0usize;
         for shard in self.shard_for(key)..self.shards.len() {

@@ -27,8 +27,9 @@
 //!   workers, and flushes the backend.
 //! - [`backend`] — the [`ServeBackend`] trait the workers execute
 //!   against: [`ShardedAlex`](alex_sharded::ShardedAlex) in memory,
-//!   or `DurableShardedAlex` (WAL + snapshots per shard) behind the
-//!   `durability` feature.
+//!   or [`DurableShardedAlex`] (WAL + snapshots per shard).
+//! - [`durable`] — [`DurableShardedAlex`], one WAL and snapshot
+//!   directory per shard under the same routing rule.
 //! - [`histogram`] — a lock-free log-bucketed latency histogram
 //!   (~3% relative error, p50/p99/p999 by interpolation).
 //! - [`loadgen`] — closed-loop (issue-wait-issue, measures RTT) and
@@ -67,6 +68,7 @@
 //! [`bulk_insert`]: crate::backend::ServeBackend::bulk_insert
 
 pub mod backend;
+pub mod durable;
 pub mod histogram;
 pub mod loadgen;
 pub mod protocol;
@@ -75,6 +77,7 @@ pub mod server;
 pub mod worker;
 
 pub use backend::{ServeBackend, ServerKey, ServerValue};
+pub use durable::DurableShardedAlex;
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use loadgen::{run_load, Arrival, LoadReport, LoadSpec};
 pub use protocol::{

@@ -48,8 +48,8 @@
 //! *traffic*: under a zipfian read mix one shard can absorb most
 //! lookups while its neighbours idle. [`ShardedAlex::rebalance_plan`]
 //! turns the per-shard lookup counters
-//! ([`ShardedAlex::shard_read_stats`], `read-stats` feature) into a
-//! replacement boundary set that equalizes estimated lookup mass, and
+//! ([`ShardedAlex::shard_read_stats`]) into a replacement boundary set
+//! that equalizes estimated lookup mass, and
 //! [`ShardedAlex::apply_rebalance`] restages the whole index in one
 //! ordered pass: each new shard is staged and bulk-loaded exactly
 //! once, and each source shard is dropped as soon as its keys are
@@ -62,11 +62,11 @@
 //! not a background daemon: call `rebalance_plan` after a
 //! representative traffic window and apply it when the plan is
 //! `Some` — the plan is `None` when there is no lookup signal (no
-//! traffic yet, or `read-stats` compiled out), fewer than two shards,
-//! or the skew is too small to move any boundary. `apply_rebalance`
-//! takes `&mut self` (a quiesced index); `alex-server` exposes it as
-//! a server-level maintenance op that drains the worker pool, applies
-//! the plan, and restarts workers on the new boundaries. Typical
+//! traffic yet), fewer than two shards, or the skew is too small to
+//! move any boundary. `apply_rebalance` takes `&mut self` (a quiesced
+//! index); `alex-server` exposes it as a server-level maintenance op
+//! that drains the worker pool, applies the plan, and restarts workers
+//! on the new boundaries. Typical
 //! cadence: once after a workload shift — e.g. when
 //! `shard_read_stats` shows the hottest shard taking several times
 //! the mean — rather than on a timer.
@@ -102,19 +102,13 @@
 //! assert_eq!(index.flush_retired(), 0);
 //! ```
 
-#[cfg(feature = "durability")]
-pub mod durable;
-#[cfg(feature = "durability")]
-pub use durable::DurableShardedAlex;
-
 use alex_api::{BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey};
 use alex_core::stats::SizeReport;
 use alex_core::{AlexConfig, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
 use alex_datasets::cdf_points;
 
 /// One shard's read-counter snapshot (see
-/// [`ShardedAlex::shard_read_stats`]). All zero when the `read-stats`
-/// feature of `alex-core` is off.
+/// [`ShardedAlex::shard_read_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardReadStats {
     /// Lookups served by this shard.
@@ -445,9 +439,8 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     // ------------------------------------------------------------------
 
     /// Per-shard read counters, in shard order. Counters are advisory
-    /// load signals (they ride leaf snapshots and relaxed atomics) and
-    /// are all zero without the `read-stats` feature; take before/after
-    /// snapshots to measure one traffic window.
+    /// load signals (they ride leaf snapshots and relaxed atomics);
+    /// take before/after snapshots to measure one traffic window.
     pub fn shard_read_stats(&self) -> Vec<ShardReadStats> {
         self.shards
             .iter()
@@ -470,9 +463,8 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// extra space.
     ///
     /// Returns `None` when there is nothing to do: fewer than two
-    /// shards, no recorded lookups (no traffic yet, or `read-stats`
-    /// compiled out), fewer stored keys than shards, or a plan
-    /// identical to the current boundaries.
+    /// shards, no recorded lookups (no traffic yet), fewer stored
+    /// keys than shards, or a plan identical to the current boundaries.
     pub fn rebalance_plan(&self) -> Option<RebalancePlan<K>> {
         let num_shards = self.shards.len();
         if num_shards < 2 {
@@ -631,9 +623,9 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
 
 /// Which shard owns `key` under `boundaries` (shard `i + 1` owns keys
 /// `>= boundaries[i]`) — the single routing rule shared by
-/// [`ShardedAlex`], `DurableShardedAlex`, and external routers such as
-/// `alex-server`'s request dispatcher. `boundaries` must be strictly
-/// increasing.
+/// [`ShardedAlex`] and external routers such as `alex-server`'s
+/// request dispatcher and its `DurableShardedAlex`. `boundaries` must
+/// be strictly increasing.
 #[inline]
 pub fn route_key<K: PartialOrd>(boundaries: &[K], key: &K) -> usize {
     boundaries.partition_point(|b| b <= key)
@@ -1109,7 +1101,6 @@ mod tests {
         assert_eq!(single.len(), 2);
     }
 
-    #[cfg(feature = "read-stats")]
     #[test]
     fn rebalance_plan_narrows_the_hot_shard() {
         let index = ShardedAlex::bulk_load(&pairs(40_000, 1), 4, AlexConfig::ga_armi());
@@ -1136,7 +1127,6 @@ mod tests {
         assert_eq!(plan.shard_lookups, stats.iter().map(|s| s.lookups).collect::<Vec<_>>());
     }
 
-    #[cfg(feature = "read-stats")]
     #[test]
     fn apply_rebalance_preserves_every_pair() {
         let data = pairs(20_000, 3);

@@ -21,16 +21,17 @@
 //! - [`alex_workloads`] — YCSB-style workload drivers (single- and
 //!   multi-threaded), generic over the [`alex_api`] traits.
 //! - [`alex_sharded`] — the sharded concurrent front-end: the key space
-//!   range-partitioned across `AlexIndex` shards behind per-shard
-//!   reader-writer locks.
+//!   range-partitioned across `EpochAlex` shards whose readers take no
+//!   lock (epoch-pinned descent) while writers serialize per shard.
 //! - [`alex_wal`] — durability for the epoch index: an LSN'd
 //!   write-ahead log with group commit, copy-on-write leaf snapshots
 //!   in slotted pages, and crash recovery (`DurableAlex`).
 //! - [`alex_server`] — the serving front-end: a framed binary
 //!   request/response protocol, shard-owning worker threads behind
 //!   bounded queues that coalesce point ops into sorted batch runs,
-//!   and an open-/closed-loop load generator with a log-bucketed
-//!   latency histogram (p50/p99/p999).
+//!   `DurableShardedAlex` (one WAL per shard), and an
+//!   open-/closed-loop load generator with a log-bucketed latency
+//!   histogram (p50/p99/p999).
 
 pub use alex_api;
 pub use alex_btree;

@@ -26,10 +26,12 @@ use alex_repro::alex_api::{
 };
 use alex_repro::alex_core::AlexConfig;
 use alex_repro::alex_server::{
-    encode_response, Request, Response, Server, ServerConfig, REJECT_UNSUPPORTED_KEY,
+    encode_response, DurableShardedAlex, Request, Response, Server, ServerConfig,
+    REJECT_UNSUPPORTED_KEY,
 };
 use alex_repro::alex_sharded::ShardedAlex;
-use alex_repro::alex_wal::WalCodec;
+use alex_repro::alex_wal::tempdir::TempDir;
+use alex_repro::alex_wal::{SyncPolicy, WalCodec, WalOptions};
 
 type Req = Request<u64, u64>;
 
@@ -410,4 +412,63 @@ fn sentinel_writes_are_rejected_end_to_end() {
     assert_eq!(client.call(Request::Get { key: 100 }), Response::Value(Some(9)));
     let index = server.shutdown();
     assert_eq!(index.len(), oracle.len() + 1, "only the post-refusal insert landed");
+}
+
+/// The WAL-backed backend behind the same worker pool: pipelined
+/// point ops match the oracle byte for byte, a sentinel insert is
+/// refused, and after the flushing shutdown a fresh `open` of the
+/// directory recovers exactly the oracle's contents.
+#[test]
+fn durable_backend_serves_and_recovers_the_oracle_state() {
+    let dir = TempDir::new("server-durable");
+    let pairs = preload(2000);
+    let config = AlexConfig::ga_armi().with_max_node_keys(256);
+    // Group commit leaves the last writes buffered until the flushing
+    // shutdown, so the reopen below also checks that flush.
+    let opts = WalOptions {
+        sync: SyncPolicy::Never,
+        group_commit_ops: 64,
+        ..WalOptions::default()
+    };
+    let index = DurableShardedAlex::create(dir.path(), &pairs, 2, config, opts).unwrap();
+    assert_eq!(index.num_shards(), 2);
+    let server = Server::start(index, ServerConfig { queue_capacity: 256, max_batch: 16 });
+    let oracle = LockedBTreeMap::from_pairs(&pairs);
+    let client = server.client();
+
+    // Keys span the preload and both shards, so writes hit each log
+    // and removes evict bulk-loaded keys as well as fresh ones.
+    const WINDOW: usize = 32;
+    let mut op_id = 0u64;
+    for w in 0..40u64 {
+        let mut window = Vec::with_capacity(WINDOW);
+        for i in 0..WINDOW as u64 {
+            let k = mix(w * 1000 + i) % 4200;
+            let request = match mix(w * 77 + i) % 3 {
+                0 => Request::Insert { key: k, value: w * 100 + i },
+                1 => Request::Get { key: k },
+                _ => Request::Remove { key: k },
+            };
+            let want = oracle_exec(&oracle, &request);
+            window.push((op_id, client.submit(request), want));
+            op_id += 1;
+        }
+        for (id, pending, want) in window {
+            assert_same_bytes(id, &pending.wait(), &want, "durable pipelined");
+        }
+    }
+    assert_eq!(
+        client.call(Request::Insert { key: u64::MAX, value: 1 }),
+        Response::Rejected(REJECT_UNSUPPORTED_KEY)
+    );
+    drop(server.shutdown());
+
+    let (back, reports) =
+        DurableShardedAlex::<u64, u64>::open(dir.path(), config, opts).unwrap();
+    assert_eq!(reports.len(), 2);
+    let mut got = Vec::new();
+    back.scan_from(&0, usize::MAX, |k, v| got.push((*k, *v)));
+    let mut want = Vec::new();
+    oracle.scan_from(&0, usize::MAX, &mut |k, v| want.push((*k, *v)));
+    assert_eq!(got, want, "reopened store equals the oracle pair for pair");
 }

@@ -286,8 +286,7 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// 4. Read-skew rebalancing (needs the `read-stats` feature of
-//    `alex-core`, enabled for this crate)
+// 4. Read-skew rebalancing
 // ----------------------------------------------------------------------
 
 /// Rebalancing between traffic phases: skewed reads produce a plan,
