@@ -1,7 +1,7 @@
 //! `fig_probe`: attribute where a point lookup's time goes, and what
-//! each PR-7 optimisation buys.
+//! the leaf-probe and bulk-load optimisations buy.
 //!
-//! Four measurement groups, one run:
+//! Three measurement groups, one run:
 //!
 //! 1. **Probe kernels** — block-wise branchless lower-bound vs. scalar
 //!    exponential search over the same array, at synthetic prediction
@@ -11,11 +11,7 @@
 //! 2. **Per-node-type attribution** — for a gapped-array leaf and a
 //!    PMA leaf, model-predict cost vs. full `get` cost. The difference
 //!    is the local-search share, which is what group 1 optimises.
-//! 3. **Arena flavours in the `&mut` regime** — identical indexes
-//!    bulk-loaded into the dense (`Vec`) arena and the epoch
-//!    (atomic-slot) arena, point gets and fresh inserts timed on each.
-//!    Dense skips the per-node atomic hop, so it should win.
-//! 4. **Bulk-load cost model** — `PrefixLsq::fit_partitions` (O(1)
+//! 3. **Bulk-load cost model** — `PrefixLsq::fit_partitions` (O(1)
 //!    per range, what Algorithm 4 now uses) vs. a streaming
 //!    least-squares refit per range, plus end-to-end adaptive
 //!    bulk-load throughput.
@@ -30,9 +26,7 @@ use alex_bench::cli::Args;
 use alex_bench::harness::{emit_metric, METRIC_CSV_HEADER};
 use alex_bench::DEFAULT_SEED;
 use alex_core::search::{blockwise_search_lower_bound, exponential_search_lower_bound};
-use alex_core::{
-    AlexConfig, AlexIndex, GappedNode, LinearModel, NodeParams, PmaNode, PrefixLsq, StoreMode,
-};
+use alex_core::{AlexConfig, AlexIndex, GappedNode, LinearModel, NodeParams, PmaNode, PrefixLsq};
 use alex_datasets::uniform_dense_keys;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -144,64 +138,7 @@ fn main() {
         emit("pma-leaf", "ns_local_search", format!("{:.1}", (get - predict).max(0.0)));
     }
 
-    // ---- 3. arena flavours, exclusive (&mut) regime ----------------
-    if !csv {
-        println!("\n-- arena flavours, exclusive regime (full-index ops) --");
-    }
-    // Even keys loaded, odd keys free for fresh inserts. Both flavours
-    // run the identical workload; rounds alternate between the two and
-    // each flavour reports its minimum, so transient scheduler noise on
-    // a shared core cannot systematically favour whichever flavour
-    // happened to run during a quiet stretch.
-    const ROUNDS: usize = 3;
-    let data: Vec<(u64, u64)> = (0..n as u64).map(|k| (2 * k, k)).collect();
-    let get_keys: Vec<u64> =
-        (0..searches).map(|_| 2 * rng.random_range(0..n as u64)).collect();
-    // Disjoint odd-key pools per round, so every round times *fresh*
-    // inserts (with shifts and splits), not overwrites of earlier ones.
-    let span = (n / ROUNDS).max(1) as u64;
-    let round_inserts: Vec<Vec<u64>> = (0..ROUNDS as u64)
-        .map(|r| {
-            (0..searches)
-                .map(|_| 2 * (r * span + rng.random_range(0..span)) + 1)
-                .collect()
-        })
-        .collect();
-    let flavours = [("dense-arena", StoreMode::Dense), ("epoch-arena", StoreMode::Epoch)];
-    let mut indexes: Vec<AlexIndex<u64, u64>> = flavours
-        .iter()
-        .map(|&(_, mode)| {
-            let cfg = AlexConfig::ga_armi()
-                .with_max_node_keys(256)
-                .with_splitting()
-                .with_store_mode(mode);
-            AlexIndex::bulk_load(&data, cfg)
-        })
-        .collect();
-    let mut best_get = [f64::INFINITY; 2];
-    let mut best_ins = [f64::INFINITY; 2];
-    for inserts in &round_inserts {
-        for (i, index) in indexes.iter_mut().enumerate() {
-            // Warm pass first: the cold caches belong to no flavour.
-            time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
-            let get = time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
-            best_get[i] = best_get[i].min(get);
-            let t = Instant::now();
-            for &k in inserts {
-                let _ = index.insert(k, k);
-            }
-            let ins = t.elapsed().as_nanos() as f64 / inserts.len() as f64;
-            best_ins[i] = best_ins[i].min(ins);
-        }
-    }
-    core::hint::black_box(&indexes);
-    for (i, (label, _)) in flavours.iter().enumerate() {
-        emit(label, "ns_per_get", format!("{:.1}", best_get[i]));
-        emit(label, "get_mops_per_sec", format!("{:.2}", 1e3 / best_get[i]));
-        emit(label, "ns_per_insert", format!("{:.1}", best_ins[i]));
-    }
-
-    // ---- 4. bulk-load cost model: prefix sums vs streaming refit ---
+    // ---- 3. bulk-load cost model: prefix sums vs streaming refit ---
     if !csv {
         println!("\n-- bulk-load cost model (Algorithm 4 fanout search) --");
     }
@@ -225,6 +162,7 @@ fn main() {
     });
     emit("prefix-lsq", &format!("ns_per_range_fit@w{width}"), format!("{prefix:.1}"));
     emit("streaming-fit", &format!("ns_per_range_fit@w{width}"), format!("{streaming:.1}"));
+    let data: Vec<(u64, u64)> = (0..n as u64).map(|k| (2 * k, k)).collect();
     let t = Instant::now();
     let loaded = AlexIndex::bulk_load(&data, AlexConfig::ga_armi());
     let per_key = data.len() as f64 / t.elapsed().as_secs_f64();
@@ -234,8 +172,7 @@ fn main() {
     if !csv {
         println!("\nexpected shape: blockwise wins the mixed-error cell (fixed-error cells");
         println!("are exponential's best case — the predictor learns the periodic hint");
-        println!("pattern); dense-arena beats epoch-arena on gets/inserts (no atomic");
-        println!("hop); prefix-lsq is flat in range width, the streaming refit linear");
+        println!("pattern); prefix-lsq is flat in range width, the streaming refit linear");
     }
 }
 

@@ -16,10 +16,12 @@
 //!     --rate 100000 --csv
 //! ```
 //!
-//! Caveat (see ROADMAP): in a one-core container the client threads,
-//! workers, and timers all share a core, so absolute latencies mostly
-//! measure scheduling; the *shape* (batching engagement, p50 vs p999
-//! spread, open- vs closed-loop gap) is the reproducible signal.
+//! Caveat (see ROADMAP): when client threads, workers, and timers
+//! outnumber the cores they share, absolute latencies mostly measure
+//! scheduling; the *shape* (batching engagement, p50 vs p999 spread,
+//! open- vs closed-loop gap) is the reproducible signal. The CSV
+//! output's `# cores=<n>` line records the core count of the run.
+//! A client sweep is a shell loop over `--clients`.
 
 use std::sync::Arc;
 
@@ -69,7 +71,8 @@ fn main() {
     let run = "server_loadgen";
 
     if format == ReportFormat::Csv {
-        println!("# one-core container: absolute latency is mostly scheduling; compare shapes");
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        println!("# cores={cores}");
         println!("{METRIC_CSV_HEADER}");
     } else {
         println!(

@@ -1,4 +1,5 @@
-//! Table 1: dataset characteristics (scaled; see DESIGN.md).
+//! Table 1: dataset characteristics (scaled; the `alex-datasets` crate
+//! docs explain how each dataset is synthesized).
 //!
 //! ```sh
 //! cargo run -p alex-bench --release --bin table1_datasets -- --keys 1000000

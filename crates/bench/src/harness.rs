@@ -78,9 +78,9 @@ pub fn emit_metric(run: &str, label: &str, metric: &str, value: impl std::fmt::D
 
 /// Emit one latency distribution as long-format metric lines
 /// (`p50_us` … `max_us`), the shared CSV shape for every binary that
-/// measures per-op latency (`server_loadgen`, `fig5_threads
-/// --arrival-rate`). Nanosecond samples are reported in microseconds
-/// so rows stay readable next to throughput numbers.
+/// measures per-op latency (`server_loadgen`). Nanosecond samples
+/// are reported in microseconds so rows stay readable next to
+/// throughput numbers.
 pub fn emit_latency_metrics(run: &str, label: &str, latency: &alex_server::HistogramSnapshot) {
     emit_metric(run, label, "ops", latency.count());
     emit_metric(run, label, "p50_us", format!("{:.2}", latency.p50() as f64 / 1e3));

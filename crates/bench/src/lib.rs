@@ -3,9 +3,9 @@
 //! Every binary in `src/bin/` reproduces one table or figure from the
 //! ALEX paper's evaluation (§5). They share dataset setup, simple CLI
 //! parsing, and report formatting through this library. Scales default
-//! to laptop-friendly sizes (the paper used 190M–1B keys on an i9; see
-//! DESIGN.md for the substitution rationale) and are overridable with
-//! `--keys` / `--ops`.
+//! to laptop-friendly sizes (the paper used 190M–1B keys on an i9; the
+//! `alex-datasets` crate docs give the dataset substitution rationale)
+//! and are overridable with `--keys` / `--ops`.
 
 pub mod cli;
 pub mod harness;

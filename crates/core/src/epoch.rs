@@ -354,21 +354,6 @@ impl<T> AtomicSlots<T> {
         }
     }
 
-    /// Exclusive in-place access to slot `id`. `&mut self` proves no
-    /// reader or writer runs concurrently and no shared reference into
-    /// the arena is live (they all borrow `self`).
-    #[inline]
-    pub fn get_mut(&mut self, id: u32) -> &mut T {
-        debug_assert!(id < *self.len.get_mut(), "slot {id} out of bounds");
-        let ptr = self.cell(id).load(Ordering::Relaxed);
-        // SAFETY: exclusive borrow of the arena; the box is live (only
-        // `publish` retires, and it requires a writer, excluded here).
-        #[allow(unsafe_code)]
-        unsafe {
-            &mut *ptr
-        }
-    }
-
     /// Replace slot `id` with `value`, retiring the old box. **Single
     /// writer only.** The old value is freed once the collector's
     /// epoch has advanced two steps past the current one.

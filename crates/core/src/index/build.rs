@@ -6,7 +6,7 @@
 //! and link into the leaf chain) but never indexes the arena directly.
 //!
 //! Bulk builds are exclusive-regime by definition (`&mut self`), so
-//! they allocate with `push_mut` and work on either arena flavour.
+//! they allocate with `push_mut` on the dense arena.
 //!
 //! ## Cost-model caching
 //!

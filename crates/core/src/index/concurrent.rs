@@ -193,12 +193,12 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     }
 
     /// Wrap an existing index (built exclusively, e.g. by
-    /// [`AlexIndex::bulk_load`]) for shared use. A dense-arena index
-    /// is upgraded to the epoch flavour here — the single chokepoint
-    /// every `EpochAlex` construction funnels through, so the shared
-    /// regime always runs on atomic slots regardless of
-    /// [`crate::config::StoreMode`]. This is the bulk-load → serve
-    /// bridge: build dense (fastest), then wrap to go concurrent.
+    /// [`AlexIndex::bulk_load`]) for shared use. The regime picks the
+    /// arena: the index's dense arena moves into epoch slots here —
+    /// the single chokepoint every `EpochAlex` construction funnels
+    /// through, so the shared regime always runs on atomic slots. This
+    /// is the bulk-load → serve bridge: build dense (fastest), then
+    /// wrap to go concurrent.
     pub fn from_index(mut index: AlexIndex<K, V>) -> Self {
         index.store.ensure_epoch();
         Self {
@@ -209,20 +209,16 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     }
 
     /// Unwrap back into the exclusive index (consumes `self`, so no
-    /// reader or writer can still be active). Pending delta buffers
-    /// are flushed and the retire lists drained, so the returned
-    /// index is delta-free with a clean arena — and the arena is
-    /// converted back to the flavour named by `config.store_mode`
-    /// (dense by default), making
-    /// [`AlexIndex::into_concurrent`]/`into_inner` a lossless
-    /// round trip.
+    /// reader or writer can still be active). The regime picks the
+    /// arena: the epoch slots convert back to a dense arena (freeing
+    /// the retire list), and then the pending delta buffers are
+    /// flushed in place, so the returned index is dense and
+    /// delta-free — [`AlexIndex::into_concurrent`]/`into_inner` is a
+    /// lossless round trip.
     pub fn into_inner(self) -> AlexIndex<K, V> {
         let mut index = self.index;
+        index.store.ensure_dense();
         index.flush_deltas();
-        index.store.flush();
-        if index.config().store_mode == crate::config::StoreMode::Dense {
-            index.store.ensure_dense();
-        }
         index
     }
 
@@ -699,9 +695,8 @@ where
             return Err(InsertError::UnsupportedKey);
         }
         // Exclusive access: rebuild via Algorithm 4 with the same
-        // config (fresh arena, empty retire lists). The rebuild honors
-        // `config.store_mode` (dense by default), so upgrade the fresh
-        // arena before it becomes shared again.
+        // config. The rebuild is an exclusive index on a fresh dense
+        // arena, so upgrade it before it becomes shared again.
         self.index = AlexIndex::bulk_load(pairs, *self.index.config());
         self.index.store.ensure_epoch();
         Ok(pairs.len())
@@ -988,12 +983,11 @@ mod tests {
 
     #[test]
     fn into_concurrent_round_trip_restores_dense_arena() {
-        use crate::config::StoreMode;
-        // Default config builds dense; wrapping upgrades to epoch.
+        // Exclusive indexes are dense; wrapping moves them to epoch.
         let index = AlexIndex::bulk_load(&pairs(2000, 2), splitting_config());
-        assert_eq!(index.store.mode(), StoreMode::Dense);
+        assert!(index.store.is_dense());
         let shared = index.into_concurrent();
-        assert_eq!(shared.index.store.mode(), StoreMode::Epoch);
+        assert!(!shared.index.store.is_dense());
         std::thread::scope(|s| {
             let idx = &shared;
             s.spawn(move || {
@@ -1008,19 +1002,29 @@ mod tests {
             });
         });
         let mut back = shared.into_inner();
-        assert_eq!(back.store.mode(), StoreMode::Dense, "into_inner must restore config.store_mode");
+        assert!(back.store.is_dense(), "into_inner must return a dense arena");
         assert_eq!(back.len(), 2500);
         assert_eq!(back.get(&1), Some(&0));
         back.insert(999_999, 42).unwrap();
         assert_eq!(back.get(&999_999), Some(&42));
         back.debug_assert_invariants();
 
-        // An index pinned to the epoch flavour stays epoch after unwrap.
-        let cfg = splitting_config().with_store_mode(StoreMode::Epoch);
-        let index: AlexIndex<u64, u64> = AlexIndex::bulk_load(&pairs(100, 2), cfg);
-        assert_eq!(index.store.mode(), StoreMode::Epoch);
-        let back = index.into_concurrent().into_inner();
-        assert_eq!(back.store.mode(), StoreMode::Epoch);
+        // Every other way into the shared regime unwraps to dense too,
+        // with buffered shared writes flushed into the dense leaves.
+        let mut rebuilt: EpochAlex<u64, u64> = EpochAlex::new(splitting_config());
+        IndexWrite::bulk_load(&mut rebuilt, &pairs(100, 2)).unwrap();
+        for shared in [
+            EpochAlex::new(splitting_config()),
+            EpochAlex::bulk_load(&pairs(100, 2), splitting_config()),
+            rebuilt,
+        ] {
+            shared.insert(1_000_001, 7).unwrap();
+            let back = shared.into_inner();
+            assert!(back.store.is_dense(), "into_inner must return a dense arena");
+            assert!(back.store.leaves().all(|leaf| leaf.delta.is_empty()));
+            assert_eq!(back.get(&1_000_001), Some(&7));
+            back.debug_assert_invariants();
+        }
     }
 
     #[test]
@@ -1028,7 +1032,7 @@ mod tests {
         let mut index: EpochAlex<u64, u64> = EpochAlex::new(AlexConfig::ga_armi());
         let data = pairs(1000, 2);
         assert_eq!(IndexWrite::bulk_load(&mut index, &data), Ok(1000));
-        assert_eq!(index.index.store.mode(), crate::config::StoreMode::Epoch);
+        assert!(!index.index.store.is_dense());
         // The shared read/write paths (pin + publish) must still work.
         assert_eq!(index.get(&200), Some(100));
         index.insert(201, 7).unwrap();

@@ -4,8 +4,8 @@
 //! A full leaf's model becomes an inner model routing to `fanout`
 //! fresh leaves; data is redistributed by the original model; no
 //! rebalancing. The split is factored into a read-only **plan** and a
-//! regime-specific **apply**, so both arena flavours share the
-//! partitioning logic:
+//! regime-specific **apply**, so both regimes (and so both arena
+//! flavours) share the partitioning logic:
 //!
 //! 1. [`AlexIndex::plan_split`] computes the routing model and builds
 //!    the fresh leaves **fully linked** (their `prev`/`next` pointers
@@ -17,7 +17,7 @@
 //!    point**: one atomic store flips every reader from the old leaf
 //!    to the new subtree, and the old leaf is retired to the epoch
 //!    garbage list. On the exclusive path it is a plain overwrite
-//!    (`publish_mut`), sound on either flavour because `&mut self`
+//!    of the dense arena (`publish_mut`), sound because `&mut self`
 //!    proves no concurrent reader.
 //! 3. Neighbour chain pointers are *healed* afterwards (in place when
 //!    exclusive, copy-on-write when shared). Readers that raced the
@@ -62,7 +62,7 @@ impl<K, V> SplitPlan<K, V> {
 
 impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// Split the leaf at `id` into `fanout` children (exclusive
-    /// regime; either arena flavour). Returns `false` when no linear
+    /// regime, dense arena). Returns `false` when no linear
     /// model can separate the keys (the split would make no progress).
     pub(super) fn split_leaf(&mut self, id: NodeId, fanout: usize) -> bool {
         let Some(plan) = self.plan_split(id, fanout) else {
@@ -170,8 +170,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         })
     }
 
-    /// Apply a planned split through exclusive access (either arena
-    /// flavour): push the children, repoint the head if the head leaf
+    /// Apply a planned split through exclusive access (dense arena):
+    /// push the children, repoint the head if the head leaf
     /// split, and overwrite the old leaf with the routing inner node.
     fn apply_split_mut(&mut self, id: NodeId, plan: SplitPlan<K, V>) {
         debug_assert_eq!(plan.base, self.store.next_id(), "ids must not move between plan and apply");

@@ -8,49 +8,37 @@
 //! concerns (id allocation, publication, chain maintenance,
 //! reclamation) stay in one place.
 //!
-//! Since PR 7 the arena comes in two flavours, selected at
-//! construction by [`crate::config::StoreMode`]:
+//! The access regime picks the arena; there is no setting for it:
 //!
-//! - **Dense** ([`StoreMode::Dense`]): nodes packed in a plain
-//!   `Vec<Node>` with non-atomic ids. Descents index the vector
-//!   directly — no atomic pointer hop, no epoch bookkeeping, best
-//!   cache adjacency. All mutation requires `&mut self`
-//!   ([`NodeStore::push_mut`] / [`NodeStore::publish_mut`]), so the
-//!   borrow checker itself proves no reader can race a writer. The
-//!   shared-regime (`&self`) writer methods panic on this flavour.
-//! - **Epoch** ([`StoreMode::Epoch`]): each node behind an atomic
-//!   pointer in an [`AtomicSlots`] arena, **never overwritten in
-//!   place** on the shared path: [`NodeStore::publish`] installs a
-//!   replacement node at the same id and *retires* the old one to the
-//!   arena's epoch garbage list. This is what `EpochAlex`'s lock-free
-//!   pinned readers require.
+//! - **Exclusive** (`&mut AlexIndex`) runs on the **dense** flavour:
+//!   nodes packed in a plain `Vec<Node>` with non-atomic ids. Descents
+//!   index the vector directly — no atomic pointer hop, no epoch
+//!   bookkeeping, best cache adjacency. All mutation requires
+//!   `&mut self` ([`NodeStore::push_mut`] / [`NodeStore::publish_mut`]
+//!   / [`NodeStore::leaf_mut`]), so the borrow checker itself proves no
+//!   reader can race a writer. `AlexIndex::new` / `bulk_load` / `clone`
+//!   always build this flavour.
+//! - **Shared** (`EpochAlex` and everything built on it) runs on the
+//!   **epoch** flavour: each node behind an atomic pointer in an
+//!   [`AtomicSlots`] arena, **never overwritten in place**. Writers
+//!   serialize on a mutex and replace nodes only via
+//!   [`NodeStore::publish`], which installs a replacement at the same
+//!   id and *retires* the old one to the arena's epoch garbage list;
+//!   readers pin an epoch ([`NodeStore::pin`]) and descend wait-free.
+//!   The slot at a given id only ever changes to a node covering the
+//!   *same key range* (copy-on-write leaf, or the routing inner node a
+//!   split leaves behind), so ids held in old snapshots always remain
+//!   meaningful.
 //!
-//! Two access regimes share this storage:
-//!
-//! - **Exclusive** (`&mut AlexIndex`): the classic single-threaded
-//!   index. Works on either flavour; the dense flavour is the default
-//!   and the fast path. In-place mutation ([`NodeStore::leaf_mut`])
-//!   and unguarded reads are sound because no concurrent writer can
-//!   exist.
-//! - **Shared** (`EpochAlex` / the sharded epoch read path): requires
-//!   the epoch flavour (enforced by [`NodeStore::ensure_epoch`] at
-//!   wrap time). Writers serialize on a mutex and replace nodes only
-//!   via [`NodeStore::publish`]; readers pin an epoch
-//!   ([`NodeStore::pin`]) and descend wait-free. The slot at a given
-//!   id only ever changes to a node covering the *same key range*
-//!   (copy-on-write leaf, or the routing inner node a split leaves
-//!   behind), so ids held in old snapshots always remain meaningful.
-//!
-//! [`NodeStore::ensure_epoch`] / [`NodeStore::ensure_dense`] convert
-//! between the flavours by re-housing every node in id order (ids are
+//! Each flavour rejects the other regime's writers: the `&self`
+//! writers and `pin` are `unreachable!` on dense, the `&mut` writers
+//! on epoch. [`NodeStore::ensure_epoch`] (in `EpochAlex::from_index`)
+//! and [`NodeStore::ensure_dense`] (in `EpochAlex::into_inner`) are the
+//! only crossings. They re-house every node in id order (ids are
 //! allocated sequentially in both, so they are preserved). Leaf bases
 //! are `Arc`-shared, making the conversion `O(nodes)` shallow moves or
 //! clones — never a key-array copy.
-//!
-//! [`StoreMode::Dense`]: crate::config::StoreMode::Dense
-//! [`StoreMode::Epoch`]: crate::config::StoreMode::Epoch
 
-use crate::config::StoreMode;
 use crate::data_node::DataNode;
 use crate::epoch::{AtomicSlots, Collector, Guard};
 use crate::key::AlexKey;
@@ -135,7 +123,7 @@ impl<K, V> LeafNode<K, V> {
 enum Arena<K, V> {
     /// Plain vector, exclusive regime only. Ids are indices.
     Dense(Vec<Node<K, V>>),
-    /// Atomic-slot arena with its epoch clock, shared regime capable.
+    /// Atomic-slot arena with its epoch clock, shared regime only.
     Epoch {
         slots: AtomicSlots<Node<K, V>>,
         /// Epoch clock for this arena's readers and retire lists.
@@ -147,9 +135,9 @@ enum Arena<K, V> {
 /// doubly-linked leaf chain, and (epoch flavour) epoch-based
 /// reclamation.
 ///
-/// Exclusive writers allocate with [`NodeStore::push_mut`] and replace
-/// with [`NodeStore::publish_mut`] (either flavour); shared writers —
-/// mutex-serialized `&self`, epoch flavour only — use
+/// Exclusive writers (dense flavour only) allocate with
+/// [`NodeStore::push_mut`] and replace with [`NodeStore::publish_mut`];
+/// shared writers — mutex-serialized `&self`, epoch flavour only — use
 /// [`NodeStore::push`] / [`NodeStore::publish`]. Ids are never reused,
 /// and a published replacement always covers the same key range as its
 /// predecessor.
@@ -163,17 +151,9 @@ pub(crate) struct NodeStore<K, V> {
 }
 
 impl<K, V> NodeStore<K, V> {
-    /// An empty store of the requested flavour. The head leaf defaults
+    /// An empty dense (exclusive-regime) store. The head leaf defaults
     /// to node 0; callers must push at least one leaf (or link a
     /// chain) before reading it.
-    pub fn with_mode(mode: StoreMode) -> Self {
-        match mode {
-            StoreMode::Dense => Self::new_dense(),
-            StoreMode::Epoch => Self::new_epoch(),
-        }
-    }
-
-    /// An empty dense (exclusive-regime) store.
     pub fn new_dense() -> Self {
         Self {
             arena: Arena::Dense(Vec::new()),
@@ -181,23 +161,10 @@ impl<K, V> NodeStore<K, V> {
         }
     }
 
-    /// An empty epoch (shared-regime-capable) store.
-    pub fn new_epoch() -> Self {
-        Self {
-            arena: Arena::Epoch {
-                slots: AtomicSlots::new(),
-                collector: Collector::new(),
-            },
-            head_leaf: AtomicU32::new(0),
-        }
-    }
-
-    /// Which flavour this store currently is.
-    pub fn mode(&self) -> StoreMode {
-        match self.arena {
-            Arena::Dense(_) => StoreMode::Dense,
-            Arena::Epoch { .. } => StoreMode::Epoch,
-        }
+    /// Whether this is the dense (exclusive-regime) flavour.
+    #[cfg(test)]
+    pub fn is_dense(&self) -> bool {
+        matches!(self.arena, Arena::Dense(_))
     }
 
     /// Convert a dense arena to the epoch flavour in place (no-op when
@@ -223,12 +190,11 @@ impl<K, V> NodeStore<K, V> {
 
 impl<K: Clone, V: Clone> NodeStore<K, V> {
     /// Convert an epoch arena to the dense flavour in place (no-op
-    /// when already dense). Requires exclusive access with an empty
-    /// retire list intent: callers (`EpochAlex::into_inner`) drain the
-    /// retire list first. Nodes are shallow-cloned in id order (leaf
-    /// bases are `Arc`-shared); dropping the old arena then releases
-    /// its references, so the dense store ends up owning every base
-    /// uniquely again.
+    /// when already dense). Exclusive access required (`&mut self`,
+    /// as `EpochAlex::into_inner` has). Nodes are shallow-cloned in id
+    /// order (leaf bases are `Arc`-shared); dropping the old arena then
+    /// frees its retire list and releases its references, so the dense
+    /// store ends up owning every base uniquely again.
     pub fn ensure_dense(&mut self) {
         if let Arena::Epoch { slots, .. } = &self.arena {
             let nodes: Vec<Node<K, V>> = slots.iter().cloned().collect();
@@ -264,8 +230,11 @@ impl<K, V> NodeStore<K, V> {
         }
     }
 
-    /// Allocate a node, returning its id (exclusive regime; either
-    /// flavour).
+    /// Allocate a node, returning its id (exclusive regime).
+    ///
+    /// # Panics
+    /// Panics on an epoch store — only an `EpochAlex` holds one, and
+    /// its writers use [`NodeStore::push`].
     pub fn push_mut(&mut self, node: Node<K, V>) -> NodeId {
         match &mut self.arena {
             Arena::Dense(nodes) => {
@@ -273,7 +242,7 @@ impl<K, V> NodeStore<K, V> {
                 nodes.push(node);
                 id
             }
-            Arena::Epoch { slots, .. } => slots.push(node),
+            Arena::Epoch { .. } => unreachable!("exclusive-regime push on an epoch arena"),
         }
     }
 
@@ -302,16 +271,16 @@ impl<K, V> NodeStore<K, V> {
         }
     }
 
-    /// Replace the node at `id` (exclusive regime; either flavour).
-    /// Dense stores overwrite in place and drop the old node
-    /// immediately — `&mut self` proves nothing can still observe it.
-    /// Epoch stores retire the old node exactly like
-    /// [`NodeStore::publish`], keeping the reclamation counters
-    /// meaningful across regimes.
+    /// Replace the node at `id` in place (exclusive regime), dropping
+    /// the old node immediately — `&mut self` proves nothing can still
+    /// observe it.
+    ///
+    /// # Panics
+    /// Panics on an epoch store.
     pub fn publish_mut(&mut self, id: NodeId, node: Node<K, V>) {
         match &mut self.arena {
             Arena::Dense(nodes) => nodes[id as usize] = node,
-            Arena::Epoch { slots, collector } => slots.publish(id, node, collector),
+            Arena::Epoch { .. } => unreachable!("exclusive-regime publish on an epoch arena"),
         }
     }
 
@@ -341,11 +310,14 @@ impl<K, V> NodeStore<K, V> {
     }
 
     /// Node access, mutably (exclusive regime only).
+    ///
+    /// # Panics
+    /// Panics on an epoch store.
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut Node<K, V> {
         match &mut self.arena {
             Arena::Dense(nodes) => &mut nodes[id as usize],
-            Arena::Epoch { slots, .. } => slots.get_mut(id),
+            Arena::Epoch { .. } => unreachable!("exclusive-regime write on an epoch arena"),
         }
     }
 
@@ -484,13 +456,11 @@ impl<K: AlexKey, V: Clone + Default> NodeStore<K, V> {
 }
 
 impl<K: Clone, V: Clone> Clone for NodeStore<K, V> {
-    /// Deep copy for the exclusive regime, preserving the arena
-    /// flavour (a fresh arena — fresh epoch clock and empty retire
-    /// list for the epoch flavour — with unshared base arrays). Must
-    /// not race a writer — `Clone` on the shared wrapper is
-    /// deliberately not provided.
+    /// Deep copy into a fresh dense arena with unshared base arrays
+    /// (the exclusive regime's flavour). Must not race a writer —
+    /// `Clone` on the shared wrapper is deliberately not provided.
     fn clone(&self) -> Self {
-        let mut fresh = Self::with_mode(self.mode());
+        let mut fresh = Self::new_dense();
         for node in self.iter() {
             fresh.push_mut(match node {
                 Node::Inner(inner) => Node::Inner(inner.clone()),
@@ -538,15 +508,23 @@ mod tests {
         ))
     }
 
+    /// An empty epoch store, built the one way the index builds them.
+    fn epoch_store() -> NodeStore<u64, u64> {
+        let mut store = NodeStore::new_dense();
+        store.ensure_epoch();
+        store
+    }
+
     #[test]
     fn push_allocates_sequential_ids_in_both_flavours() {
-        for mode in [StoreMode::Dense, StoreMode::Epoch] {
-            let mut store: NodeStore<u64, u64> = NodeStore::with_mode(mode);
-            assert_eq!(store.mode(), mode);
-            assert_eq!(store.next_id(), 0);
-            let a = store.push_mut(leaf(&[(1, 1)]));
-            let b = store.push_mut(leaf(&[(2, 2)]));
-            assert_eq!((a, b), (0, 1));
+        let mut dense: NodeStore<u64, u64> = NodeStore::new_dense();
+        let epoch = epoch_store();
+        assert_eq!((dense.next_id(), epoch.next_id()), (0, 0));
+        let ids = [dense.push_mut(leaf(&[(1, 1)])), dense.push_mut(leaf(&[(2, 2)]))];
+        assert_eq!(ids, [0, 1]);
+        let ids = [epoch.push(leaf(&[(1, 1)])), epoch.push(leaf(&[(2, 2)]))];
+        assert_eq!(ids, [0, 1]);
+        for store in [&dense, &epoch] {
             assert_eq!(store.next_id(), 2);
             assert_eq!(store.num_leaves(), 2);
         }
@@ -554,20 +532,18 @@ mod tests {
 
     #[test]
     fn link_chain_wires_prev_next_and_head() {
-        for mode in [StoreMode::Dense, StoreMode::Epoch] {
-            let mut store: NodeStore<u64, u64> = NodeStore::with_mode(mode);
-            let ids: Vec<NodeId> = (0..3).map(|i| store.push_mut(leaf(&[(i, i)]))).collect();
-            store.link_chain(&ids);
-            assert_eq!(store.head_leaf(), ids[0]);
-            assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
-            assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
-            assert_eq!(store.leaf(ids[2]).next, None);
-        }
+        let mut store: NodeStore<u64, u64> = NodeStore::new_dense();
+        let ids: Vec<NodeId> = (0..3).map(|i| store.push_mut(leaf(&[(i, i)]))).collect();
+        store.link_chain(&ids);
+        assert_eq!(store.head_leaf(), ids[0]);
+        assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
+        assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
+        assert_eq!(store.leaf(ids[2]).next, None);
     }
 
     #[test]
     fn publish_replaces_node_and_retires_old() {
-        let store: NodeStore<u64, u64> = NodeStore::new_epoch();
+        let store = epoch_store();
         let id = store.push(leaf(&[(1, 1), (2, 2)]));
         store.publish(
             id,
@@ -609,6 +585,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exclusive-regime push on an epoch arena")]
+    fn epoch_rejects_exclusive_push() {
+        let mut store = epoch_store();
+        store.push_mut(leaf(&[(1, 1)]));
+    }
+
+    #[test]
     #[should_panic(expected = "dense arenas have no epoch clock")]
     fn dense_rejects_pin() {
         let store: NodeStore<u64, u64> = NodeStore::new_dense();
@@ -617,7 +600,7 @@ mod tests {
 
     #[test]
     fn pinned_reader_keeps_replaced_node_alive() {
-        let store: NodeStore<u64, u64> = NodeStore::new_epoch();
+        let store = epoch_store();
         let id = store.push(leaf(&[(10, 100)]));
         let guard = store.pin();
         let snapshot = store.leaf(id);
@@ -632,21 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_deep_preserves_mode_and_starts_clean() {
-        let store: NodeStore<u64, u64> = NodeStore::new_epoch();
+    fn clone_is_deep_dense_and_starts_clean() {
+        let store = epoch_store();
         let id = store.push(leaf(&[(1, 1)]));
         store.publish(id, leaf(&[(1, 2)]));
         let copy = store.clone();
-        assert_eq!(copy.mode(), StoreMode::Epoch);
+        assert!(copy.is_dense(), "clones are exclusive-regime indexes");
         assert_eq!(copy.leaf(id).data.get(&1), Some(&2));
         assert_eq!(copy.retired(), 0, "clones start with an empty retire list");
         assert_eq!(copy.head_leaf(), store.head_leaf());
-
-        let mut dense: NodeStore<u64, u64> = NodeStore::new_dense();
-        let id = dense.push_mut(leaf(&[(3, 3)]));
-        let copy = dense.clone();
-        assert_eq!(copy.mode(), StoreMode::Dense);
-        assert_eq!(copy.leaf(id).data.get(&3), Some(&3));
+        assert!(!Arc::ptr_eq(&copy.leaf(id).data, &store.leaf(id).data));
     }
 
     #[test]
@@ -655,7 +633,7 @@ mod tests {
         let ids: Vec<NodeId> = (0..5u64).map(|i| store.push_mut(leaf(&[(i, i * 10)]))).collect();
         store.link_chain(&ids);
         store.ensure_epoch();
-        assert_eq!(store.mode(), StoreMode::Epoch);
+        assert!(!store.is_dense());
         // Epoch flavour serves the same tree under a pin.
         {
             let _guard = store.pin();
@@ -663,11 +641,11 @@ mod tests {
                 assert_eq!(store.leaf(id).data.get(&u64::from(id)), Some(&(u64::from(id) * 10)));
             }
         }
-        // Shared-regime writes now work.
+        // Shared-regime writes now work; the retired node is still
+        // pending when the arena converts back.
         store.publish(ids[0], leaf(&[(0, 99)]));
-        store.flush();
         store.ensure_dense();
-        assert_eq!(store.mode(), StoreMode::Dense);
+        assert!(store.is_dense());
         assert_eq!(store.leaf(ids[0]).data.get(&0), Some(&99));
         assert_eq!(store.leaf(ids[1]).next, Some(ids[2]));
         assert_eq!(store.head_leaf(), ids[0]);
@@ -683,10 +661,10 @@ mod tests {
         let mut store: NodeStore<u64, u64> = NodeStore::new_dense();
         store.push_mut(leaf(&[(1, 1)]));
         store.ensure_dense();
-        assert_eq!(store.mode(), StoreMode::Dense);
+        assert!(store.is_dense());
         store.ensure_epoch();
         store.ensure_epoch();
-        assert_eq!(store.mode(), StoreMode::Epoch);
+        assert!(!store.is_dense());
         assert_eq!(store.node_count(), 1);
     }
 }

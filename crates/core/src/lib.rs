@@ -41,29 +41,26 @@
 //!
 //! ## Access regimes and arena flavours
 //!
-//! The node store behind [`AlexIndex`] comes in two flavours, selected
-//! by [`config::StoreMode`] on the [`AlexConfig`]:
+//! The access regime picks the node arena; no config field does:
 //!
-//! - **Dense** (the default): nodes live in a plain `Vec`, node ids are
-//!   direct indices, and every mutation goes through `&mut self`. No
-//!   atomics on the read path, no epoch bookkeeping — the fastest
-//!   single-threaded layout, for the *exclusive* regime where one owner
-//!   holds the index.
-//! - **Epoch**: nodes live behind per-slot atomic pointers with
-//!   epoch-based reclamation, so a structure handed to [`EpochAlex`]
-//!   can serve lock-free readers while a serialized writer publishes
-//!   copy-on-write updates — the *shared* regime.
+//! - **Exclusive** — an [`AlexIndex`] held by one owner, mutated through
+//!   `&mut self` — always runs on the **dense** arena: nodes live in a
+//!   plain `Vec`, node ids are direct indices, no atomics on the read
+//!   path, no epoch bookkeeping. This is the paper's index and the
+//!   fastest single-threaded layout.
+//! - **Shared** — an [`EpochAlex`], and everything built on it (the
+//!   sharded front-end, the durability layer, the server) — always runs
+//!   on the **epoch** arena: nodes live behind per-slot atomic pointers
+//!   with epoch-based reclamation, so lock-free readers run while a
+//!   serialized writer publishes copy-on-write updates.
 //!
-//! The bridge contract: [`AlexIndex::into_concurrent`] converts any
-//! index into an [`EpochAlex`] (re-homing a dense arena into epoch
-//! slots, preserving node ids); [`EpochAlex::into_inner`] hands back
-//! exclusive ownership, restoring the flavour named by the config's
-//! `store_mode`. Both directions preserve ids, contents, and
-//! statistics, so bulk-load in the cheap dense flavour and convert
-//! only when concurrency starts. Shared-regime entry points
-//! (`EpochAlex::new` / `bulk_load`, the sharded front-end, the
-//! durability layer) all funnel through this conversion, so a dense
-//! default config is always safe there too.
+//! The bridge contract: [`AlexIndex::into_concurrent`] (and
+//! [`EpochAlex::from_index`], which every shared-regime constructor
+//! funnels through) moves the dense arena into epoch slots, preserving
+//! node ids; [`EpochAlex::into_inner`] hands back exclusive ownership
+//! on a dense arena. Both directions preserve ids, contents, and
+//! statistics, so bulk-load dense and convert only when concurrency
+//! starts.
 //!
 //! ## Crate layout
 //! - [`index`] / [`AlexIndex`] — the public index.
@@ -101,7 +98,7 @@ pub mod stats;
 
 mod slots;
 
-pub use config::{AlexConfig, NodeLayout, NodeParams, Placement, RmiMode, StoreMode};
+pub use config::{AlexConfig, NodeLayout, NodeParams, Placement, RmiMode};
 pub use gapped::{GappedNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;

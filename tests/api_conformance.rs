@@ -19,7 +19,7 @@
 use alex_repro::alex_api;
 use alex_repro::alex_api::{Composite, FixedStr};
 use alex_repro::alex_btree::BPlusTree;
-use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex, StoreMode};
+use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex};
 use alex_repro::alex_learned_index::LearnedIndex;
 use alex_repro::alex_pma::PmaMap;
 use alex_repro::alex_sharded::ShardedAlex;
@@ -35,30 +35,6 @@ alex_api::conformance_suite!(alex_pma_srmi, |pairs: &[(u64, u64)]| {
 
 alex_api::conformance_suite!(alex_split_on_insert, |pairs: &[(u64, u64)]| {
     AlexIndex::bulk_load(pairs, AlexConfig::ga_armi().with_max_node_keys(128).with_splitting())
-});
-
-// The two arena flavours of the exclusive index, pinned explicitly
-// (the unsuffixed instantiations above run dense too — it is the
-// default — but these stay meaningful if the default ever changes).
-// Splitting on, so the contract covers each arena's split applier.
-alex_api::conformance_suite!(alex_dense_arena, |pairs: &[(u64, u64)]| {
-    AlexIndex::bulk_load(
-        pairs,
-        AlexConfig::ga_armi()
-            .with_max_node_keys(128)
-            .with_splitting()
-            .with_store_mode(StoreMode::Dense),
-    )
-});
-
-alex_api::conformance_suite!(alex_epoch_arena_exclusive, |pairs: &[(u64, u64)]| {
-    AlexIndex::bulk_load(
-        pairs,
-        AlexConfig::ga_armi()
-            .with_max_node_keys(128)
-            .with_splitting()
-            .with_store_mode(StoreMode::Epoch),
-    )
 });
 
 alex_api::conformance_suite!(btree, |pairs: &[(u64, u64)]| {
