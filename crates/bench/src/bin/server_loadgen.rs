@@ -16,12 +16,17 @@
 //!     --rate 100000 --csv
 //! ```
 //!
-//! Caveat (see ROADMAP): when client threads, workers, and timers
-//! outnumber the cores they share, absolute latencies mostly measure
-//! scheduling; the *shape* (batching engagement, p50 vs p999 spread,
-//! open- vs closed-loop gap) is the reproducible signal. The CSV
-//! output's `# cores=<n>` line records the core count of the run.
-//! A client sweep is a shell loop over `--clients`.
+//! Caveat: waiters in the server spin for up to
+//! `alex_server::queue::SPIN_BUDGET` before they park, yielding the
+//! core between polls. While client threads plus workers fit the
+//! cores, a closed-loop call therefore costs little more than the
+//! backend; once they outnumber the cores, spinners and the threads
+//! they wait for take turns on each core, and absolute latencies
+//! mostly measure the scheduler. There the *shape* (batching
+//! engagement, p50 vs p999 spread, open- vs closed-loop gap) is the
+//! reproducible signal. The CSV output's `# cores=<n>` line records
+//! the core count of the run. A client sweep is a shell loop over
+//! `--clients`.
 
 use std::sync::Arc;
 

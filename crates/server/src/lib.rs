@@ -15,6 +15,12 @@
 //! - [`queue`] — a bounded blocking MPSC queue whose batch drain is
 //!   the mechanism behind load-adaptive batching: the deeper the
 //!   backlog, the larger the batch a worker takes in one lock hold.
+//!   Both handoffs of a request (client → worker through the queue,
+//!   worker → client through the reply rendezvous) spin, then park:
+//!   the waiter polls an atomic for up to [`queue::SPIN_BUDGET`]
+//!   before it sleeps, and the other side notifies only a waiter that
+//!   actually parked, so a request that finds its peer awake makes no
+//!   futex call at all.
 //! - [`worker`] — shard-owning worker threads. Each exclusively owns
 //!   one key range of the sharded index and **coalesces** adjacent
 //!   queued point ops into sorted [`get_many`]/[`bulk_insert`] runs,

@@ -38,6 +38,7 @@ const TAG_ENTRIES: u8 = 4;
 const TAG_VALUES: u8 = 5;
 const TAG_INSERTED_COUNT: u8 = 6;
 const TAG_REJECTED: u8 = 7;
+const TAG_UNAVAILABLE: u8 = 8;
 
 /// [`Response::Rejected`] code: the request carried a key the index
 /// reserves (the key type's sentinel), so the operation was refused
@@ -80,6 +81,11 @@ pub enum Response<K, V> {
     /// naming a reserved key answer with this instead of panicking the
     /// worker or silently dropping the op.
     Rejected(u8),
+    /// The worker owning the request's key range died (it panicked)
+    /// before answering. The outcome is unknown: a write may or may
+    /// not have been applied. Later requests to that range answer this
+    /// at once instead of blocking.
+    Unavailable,
 }
 
 /// What a decoder found at one position in a byte stream.
@@ -224,6 +230,7 @@ pub fn encode_response<K: WalCodec, V: WalCodec>(
             payload.push(*code);
             TAG_REJECTED
         }
+        Response::Unavailable => TAG_UNAVAILABLE,
     };
     frame_body(request_id, tag, &payload, out)
 }
@@ -340,6 +347,7 @@ pub fn decode_response<K: WalCodec, V: WalCodec>(input: &[u8]) -> MessageOutcome
             }
             None => None,
         },
+        TAG_UNAVAILABLE => Some(Response::Unavailable),
         _ => None,
     };
     match message {
@@ -381,6 +389,7 @@ mod tests {
             Response::Values(vec![Some(1), None, Some(3)]),
             Response::InsertedCount(128),
             Response::Rejected(REJECT_UNSUPPORTED_KEY),
+            Response::Unavailable,
         ]
     }
 

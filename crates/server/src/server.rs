@@ -27,7 +27,19 @@
 //! acknowledged response is on disk when `shutdown` returns.
 //! Dropping the server without calling `shutdown` does the same
 //! minus the flush ordering guarantee for unacknowledged work.
+//!
+//! # A worker that panics
+//!
+//! Its callers do not hang. Every reply it held, and every request
+//! still in its queue, answers [`Response::Unavailable`]; its queue
+//! closes, so later requests to its key range answer `Unavailable` at
+//! once. The other workers keep serving. [`Server::shutdown`] re-raises
+//! the first worker panic after joining every worker and flushing the
+//! backend; dropping the server does not, since a panic inside `Drop`
+//! during unwinding aborts the process.
 
+use std::any::Any;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -63,6 +75,9 @@ pub struct Server<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> {
     queues: Vec<Arc<BoundedQueue<Envelope<K, V>>>>,
     stats: Vec<Arc<WorkerStats>>,
     handles: Vec<JoinHandle<()>>,
+    /// Set by shutdown, so clients tell a stopped server from a dead
+    /// worker when a send fails.
+    stopped: Arc<AtomicBool>,
 }
 
 impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Server<K, V, B> {
@@ -87,13 +102,18 @@ impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Server<K, V, B> {
             queues.push(queue);
             stats.push(worker_stats);
         }
-        Server { backend, boundaries, queues, stats, handles }
+        let stopped = Arc::new(AtomicBool::new(false));
+        Server { backend, boundaries, queues, stats, handles, stopped }
     }
 
     /// A cheap, cloneable handle for submitting requests. Valid until
     /// shutdown; sends after that panic.
     pub fn client(&self) -> Client<K, V> {
-        Client { boundaries: Arc::clone(&self.boundaries), queues: self.queues.clone() }
+        Client {
+            boundaries: Arc::clone(&self.boundaries),
+            queues: self.queues.clone(),
+            stopped: Arc::clone(&self.stopped),
+        }
     }
 
     pub fn num_workers(&self) -> usize {
@@ -111,9 +131,12 @@ impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Server<K, V, B> {
     }
 
     /// Graceful shutdown: refuse new work, drain accepted work, join
-    /// the workers, flush the backend, and hand it back.
+    /// the workers, flush the backend, and hand it back. Re-raises the
+    /// first worker panic, if a worker died, once all of that is done.
     pub fn shutdown(mut self) -> Arc<B> {
-        self.stop();
+        if let Some(panic) = self.stop() {
+            std::panic::resume_unwind(panic);
+        }
         Arc::clone(&self.backend)
     }
 
@@ -143,21 +166,33 @@ impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Server<K, V, B> {
         (Server::start(backend, config), report)
     }
 
-    fn stop(&mut self) {
+    /// Close every queue, join the workers and flush the backend, once:
+    /// after the first call the handle list is empty and this returns
+    /// at once. Returns the first worker panic.
+    fn stop(&mut self) -> Option<Box<dyn Any + Send>> {
+        if self.handles.is_empty() {
+            return None;
+        }
+        self.stopped.store(true, Ordering::Release);
         for queue in &self.queues {
             queue.close();
         }
+        let mut panic = None;
         for handle in self.handles.drain(..) {
-            handle.join().expect("worker panicked");
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
         }
         self.backend.flush();
+        panic
     }
 }
 
 impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Drop for Server<K, V, B> {
     fn drop(&mut self) {
-        // Idempotent: after `shutdown` the handle list is empty.
-        self.stop();
+        // A dead worker's callers were already answered `Unavailable`
+        // and its panic message printed; only `shutdown` re-raises it.
+        let _ = self.stop();
     }
 }
 
@@ -191,6 +226,7 @@ impl<K, V> Pending<K, V> {
                 for part in parts {
                     match part {
                         Response::Values(values) => all.extend(values),
+                        Response::Unavailable => return Response::Unavailable,
                         _ => unreachable!("BatchGet part answered with a non-Values response"),
                     }
                 }
@@ -206,6 +242,9 @@ impl<K, V> Pending<K, V> {
                         // must still dominate the merge rather than
                         // masquerade as a zero count.
                         Response::Rejected(code) => return Response::Rejected(code),
+                        // Some parts may have landed: the batch's
+                        // outcome is unknown, not a partial count.
+                        Response::Unavailable => return Response::Unavailable,
                         _ => unreachable!("BatchInsert part answered with a non-count response"),
                     }
                 }
@@ -219,18 +258,26 @@ impl<K, V> Pending<K, V> {
 pub struct Client<K, V> {
     boundaries: Arc<Vec<K>>,
     queues: Vec<Arc<BoundedQueue<Envelope<K, V>>>>,
+    stopped: Arc<AtomicBool>,
 }
 
 impl<K, V> Clone for Client<K, V> {
     fn clone(&self) -> Self {
-        Client { boundaries: Arc::clone(&self.boundaries), queues: self.queues.clone() }
+        Client {
+            boundaries: Arc::clone(&self.boundaries),
+            queues: self.queues.clone(),
+            stopped: Arc::clone(&self.stopped),
+        }
     }
 }
 
 impl<K: ServerKey, V: ServerValue> Client<K, V> {
     fn enqueue(&self, shard: usize, request: Request<K, V>, reply: Reply<K, V>) {
         if self.queues[shard].send(Envelope { request, reply }).is_err() {
-            panic!("client used after Server::shutdown");
+            // Otherwise the owner worker died and closed its queue:
+            // the refused envelope drops here and its reply answers
+            // `Unavailable`.
+            assert!(!self.stopped.load(Ordering::Acquire), "client used after Server::shutdown");
         }
     }
 
@@ -283,7 +330,7 @@ impl<K: ServerKey, V: ServerValue> Client<K, V> {
                 };
                 let shard = route_key(&self.boundaries, key);
                 let rendezvous = Arc::new(Rendezvous::new(1));
-                let reply = Reply::Wait { rendezvous: Arc::clone(&rendezvous), part: 0 };
+                let reply = Reply::wait(&rendezvous, 0);
                 self.enqueue(shard, single, reply);
                 Pending { rendezvous, merge: Merge::Single }
             }
@@ -295,7 +342,7 @@ impl<K: ServerKey, V: ServerValue> Client<K, V> {
         // complete and `wait` reassembles the empty response.
         let rendezvous = Arc::new(Rendezvous::new(parts.len()));
         for (part, (shard, request)) in parts.into_iter().enumerate() {
-            let reply = Reply::Wait { rendezvous: Arc::clone(&rendezvous), part };
+            let reply = Reply::wait(&rendezvous, part);
             self.enqueue(shard, request, reply);
         }
         Pending { rendezvous, merge }

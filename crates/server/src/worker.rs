@@ -17,8 +17,8 @@
 //! [`get_many`]: crate::backend::ServeBackend::get_many
 //! [`bulk_insert`]: crate::backend::ServeBackend::bulk_insert
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use alex_core::InsertError;
@@ -26,11 +26,17 @@ use alex_core::InsertError;
 use crate::backend::{ServeBackend, ServerKey, ServerValue};
 use crate::histogram::LatencyHistogram;
 use crate::protocol::{Request, Response, REJECT_UNSUPPORTED_KEY};
-use crate::queue::BoundedQueue;
+use crate::queue::{spin_until, BoundedQueue};
 
 /// A multi-part response meeting point: one per client request, with
-/// one part per owner-worker the request was split across.
+/// one part per owner-worker the request was split across. Its one
+/// waiter spins on `ready` before it parks, and a completer notifies
+/// only a parked waiter (see [`crate::queue`]).
 pub struct Rendezvous<K, V> {
+    /// Set, under the lock, when the last part lands. The waiter's
+    /// spin polls it (`Acquire`, pairing with the `Release` store);
+    /// the parts themselves are read under the lock.
+    ready: AtomicBool,
     state: Mutex<RendezvousState<K, V>>,
     done: Condvar,
 }
@@ -38,43 +44,77 @@ pub struct Rendezvous<K, V> {
 struct RendezvousState<K, V> {
     remaining: usize,
     parts: Vec<Option<Response<K, V>>>,
+    /// The waiter is asleep on `done`.
+    parked: bool,
 }
 
 impl<K, V> Rendezvous<K, V> {
     pub(crate) fn new(parts: usize) -> Self {
         Rendezvous {
+            ready: AtomicBool::new(parts == 0),
             state: Mutex::new(RendezvousState {
                 remaining: parts,
                 parts: (0..parts).map(|_| None).collect(),
+                parked: false,
             }),
             done: Condvar::new(),
         }
     }
 
     pub(crate) fn complete(&self, part: usize, response: Response<K, V>) {
-        let mut state = self.state.lock().expect("rendezvous lock");
+        // Runs from `Part::drop`, which must not panic. Every update
+        // here leaves the state valid, so a poisoned lock is safe to use.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(state.parts[part].is_none(), "part {part} completed twice");
         state.parts[part] = Some(response);
         state.remaining -= 1;
         if state.remaining == 0 {
-            self.done.notify_all();
+            self.ready.store(true, Ordering::Release);
+            if state.parked {
+                self.done.notify_one();
+            }
         }
     }
 
     /// Block until every part has arrived; returns them in part order.
     pub(crate) fn wait(&self) -> Vec<Response<K, V>> {
+        spin_until(|| self.ready.load(Ordering::Acquire));
         let mut state = self.state.lock().expect("rendezvous lock");
         while state.remaining > 0 {
+            state.parked = true;
             state = self.done.wait(state).expect("rendezvous lock");
+            state.parked = false;
         }
         state.parts.iter_mut().map(|slot| slot.take().expect("all parts present")).collect()
     }
 }
 
+/// One part of a [`Rendezvous`] that a worker owes an answer. Dropped
+/// unanswered — its worker unwound, or its queue refused the send —
+/// it answers [`Response::Unavailable`], so the waiter never hangs.
+pub(crate) struct Part<K, V> {
+    rendezvous: Option<Arc<Rendezvous<K, V>>>,
+    index: usize,
+}
+
+impl<K, V> Part<K, V> {
+    fn answer(&mut self, response: Response<K, V>) {
+        if let Some(rendezvous) = self.rendezvous.take() {
+            rendezvous.complete(self.index, response);
+        }
+    }
+}
+
+impl<K, V> Drop for Part<K, V> {
+    fn drop(&mut self) {
+        self.answer(Response::Unavailable);
+    }
+}
+
 /// Where a finished operation's result goes.
 pub(crate) enum Reply<K, V> {
-    /// A synchronous caller is parked on this rendezvous.
-    Wait { rendezvous: Arc<Rendezvous<K, V>>, part: usize },
+    /// A synchronous caller is waiting on this rendezvous part.
+    Wait(Part<K, V>),
     /// A load-generator op: drop the payload, record latency from the
     /// *scheduled* time (not the send time), so queueing delay counts
     /// — the open-loop generator's defense against coordinated
@@ -83,9 +123,14 @@ pub(crate) enum Reply<K, V> {
 }
 
 impl<K, V> Reply<K, V> {
+    /// Route the answer to part `index` of `rendezvous`.
+    pub(crate) fn wait(rendezvous: &Arc<Rendezvous<K, V>>, index: usize) -> Self {
+        Reply::Wait(Part { rendezvous: Some(Arc::clone(rendezvous)), index })
+    }
+
     fn complete(self, response: Response<K, V>) {
         match self {
-            Reply::Wait { rendezvous, part } => rendezvous.complete(part, response),
+            Reply::Wait(mut part) => part.answer(response),
             Reply::Measure { scheduled, hist } => {
                 let nanos = Instant::now().saturating_duration_since(scheduled).as_nanos();
                 hist.record(nanos.min(u64::MAX as u128) as u64);
@@ -305,6 +350,23 @@ fn flush_inserts<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
     }
 }
 
+/// Closes a worker's queue if the worker unwinds, so later sends fail
+/// fast, and drops what was still queued, so each of those waiters
+/// gets [`Response::Unavailable`] (as do the replies the worker held:
+/// they drop with its frame).
+/// No backend code runs under the queue's lock, so the panic cannot
+/// have poisoned it, and this `Drop` does not panic on it.
+struct CloseOnUnwind<'a, T>(&'a BoundedQueue<T>);
+
+impl<T> Drop for CloseOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+            self.0.recv_batch(usize::MAX, &mut Vec::new());
+        }
+    }
+}
+
 /// The worker loop: drain a batch, coalesce adjacent point ops into
 /// sorted runs, execute, complete replies. Returns when the queue is
 /// closed and fully drained.
@@ -314,6 +376,7 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
     max_batch: usize,
     stats: &WorkerStats,
 ) {
+    let _close_on_unwind = CloseOnUnwind(queue);
     let mut batch: Vec<Envelope<K, V>> = Vec::with_capacity(max_batch);
     let mut gets: Vec<(K, Reply<K, V>)> = Vec::new();
     let mut inserts: Vec<(K, V, Reply<K, V>)> = Vec::new();
@@ -351,8 +414,14 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::tests::within;
     use alex_core::AlexConfig;
     use alex_sharded::ShardedAlex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread;
+    use std::time::Duration;
+
+    const LIMIT: Duration = Duration::from_secs(60);
 
     fn backend(n: u64) -> ShardedAlex<u64, u64> {
         let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k * 2, k)).collect();
@@ -364,7 +433,7 @@ mod tests {
         request: Request<u64, u64>,
     ) -> Arc<Rendezvous<u64, u64>> {
         let rendezvous = Arc::new(Rendezvous::new(1));
-        let reply = Reply::Wait { rendezvous: Arc::clone(&rendezvous), part: 0 };
+        let reply = Reply::wait(&rendezvous, 0);
         assert!(queue.send(Envelope { request, reply }).is_ok());
         rendezvous
     }
@@ -478,5 +547,82 @@ mod tests {
         run_worker(&index, &queue, 16, &WorkerStats::default());
         assert_eq!(hist.count(), 10);
         assert!(hist.snapshot().max() > 0);
+    }
+
+    #[test]
+    fn one_slot_queue_and_rendezvous_ping_pong_100k_round_trips() {
+        within(LIMIT, || {
+            type Ball = (u64, Arc<Rendezvous<u64, u64>>);
+            let queue = Arc::new(BoundedQueue::<Ball>::new(1));
+            let echo = {
+                let queue = Arc::clone(&queue);
+                thread::spawn(move || {
+                    let mut batch = Vec::new();
+                    while queue.recv_batch(1, &mut batch).is_some() {
+                        for (i, rendezvous) in batch.drain(..) {
+                            rendezvous.complete(0, Response::InsertedCount(i));
+                        }
+                    }
+                })
+            };
+            for i in 0..100_000u64 {
+                let rendezvous = Arc::new(Rendezvous::new(1));
+                assert!(queue.send((i, Arc::clone(&rendezvous))).is_ok());
+                assert_eq!(rendezvous.wait(), vec![Response::InsertedCount(i)]);
+            }
+            queue.close();
+            echo.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn a_rendezvous_completed_after_its_waiter_parked_returns() {
+        within(LIMIT, || {
+            let rendezvous = Arc::new(Rendezvous::<u64, u64>::new(2));
+            let waiter = {
+                let rendezvous = Arc::clone(&rendezvous);
+                thread::spawn(move || rendezvous.wait())
+            };
+            while !rendezvous.state.lock().unwrap().parked {
+                thread::yield_now();
+            }
+            // Parked means the spin budget already ran out.
+            rendezvous.complete(1, Response::Value(Some(1)));
+            rendezvous.complete(0, Response::Value(None));
+            assert_eq!(
+                waiter.join().unwrap(),
+                vec![Response::Value(None), Response::Value(Some(1))]
+            );
+        });
+    }
+
+    #[test]
+    fn a_reply_dropped_unanswered_answers_unavailable() {
+        within(LIMIT, || {
+            let rendezvous = Arc::new(Rendezvous::<u64, u64>::new(2));
+            Reply::wait(&rendezvous, 0).complete(Response::Removed(None));
+            drop(Reply::wait(&rendezvous, 1));
+            assert_eq!(rendezvous.wait(), vec![Response::Removed(None), Response::Unavailable]);
+        });
+    }
+
+    #[test]
+    fn an_unwinding_worker_closes_its_queue_and_answers_what_it_held() {
+        within(LIMIT, || {
+            let queue = BoundedQueue::new(4);
+            let queued = enqueue(&queue, Request::Get { key: 2 });
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let _close_on_unwind = CloseOnUnwind(&queue);
+                panic!("backend failure");
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(queued.wait(), vec![Response::Unavailable]);
+            let late = Arc::new(Rendezvous::new(1));
+            let refused =
+                Envelope { request: Request::Get { key: 4 }, reply: Reply::wait(&late, 0) };
+            assert!(queue.send(refused).is_err(), "a dead worker's queue refuses sends");
+            assert_eq!(late.wait(), vec![Response::Unavailable]);
+            assert_eq!(queue.depth(), 0);
+        });
     }
 }

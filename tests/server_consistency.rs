@@ -472,3 +472,149 @@ fn durable_backend_serves_and_recovers_the_oracle_state() {
     oracle.scan_from(&0, usize::MAX, &mut |k, v| want.push((*k, *v)));
     assert_eq!(got, want, "reopened store equals the oracle pair for pair");
 }
+
+mod worker_faults {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use alex_repro::alex_server::ServeBackend;
+
+    const FAULT_AT: usize = 3000;
+
+    /// The in-memory backend, except that its `FAULT_AT`-th key lookup
+    /// (counting every key of `get_many`, which the insert runs' presence
+    /// checks use too) panics, killing whichever worker made it.
+    struct PanicOnGet {
+        inner: ShardedAlex<u64, u64>,
+        lookups: AtomicUsize,
+    }
+
+    impl PanicOnGet {
+        fn count(&self, n: usize) {
+            let before = self.lookups.fetch_add(n, Ordering::Relaxed);
+            if before < FAULT_AT && before + n >= FAULT_AT {
+                panic!("injected fault on lookup {FAULT_AT}");
+            }
+        }
+    }
+
+    impl ServeBackend<u64, u64> for PanicOnGet {
+        fn boundaries(&self) -> &[u64] {
+            ServeBackend::boundaries(&self.inner)
+        }
+        fn get(&self, key: &u64) -> Option<u64> {
+            self.count(1);
+            ServeBackend::get(&self.inner, key)
+        }
+        fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
+            self.count(keys.len());
+            ServeBackend::get_many(&self.inner, keys)
+        }
+        fn insert(&self, key: u64, value: u64) -> Result<(), InsertError> {
+            ServeBackend::insert(&self.inner, key, value)
+        }
+        fn bulk_insert(&self, pairs: &[(u64, u64)]) -> Result<usize, InsertError> {
+            ServeBackend::bulk_insert(&self.inner, pairs)
+        }
+        fn remove(&self, key: &u64) -> Option<u64> {
+            ServeBackend::remove(&self.inner, key)
+        }
+        fn scan_from(&self, key: &u64, limit: usize, f: &mut dyn FnMut(&u64, &u64)) -> usize {
+            ServeBackend::scan_from(&self.inner, key, limit, f)
+        }
+    }
+
+    /// Run `f` on its own thread; fail instead of hanging if it has not
+    /// returned within `limit`.
+    fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(limit).expect("a caller hung after the worker panic")
+    }
+
+    /// A worker that panics mid-run must not hang anyone: every pending
+    /// call answers either the oracle's answer or `Unavailable`, later
+    /// calls to the dead worker's range answer `Unavailable` at once,
+    /// the other workers keep serving, and `shutdown` re-raises the
+    /// panic without a second one from `Drop`.
+    #[test]
+    fn a_panicking_worker_answers_every_pending_call() {
+        within(Duration::from_secs(120), || {
+            let pairs = preload(4000);
+            let index = ShardedAlex::bulk_load(&pairs, 4, AlexConfig::ga_armi());
+            // One key per shard: the first key, then each boundary.
+            let mut probes = vec![pairs[0].0];
+            probes.extend_from_slice(ServeBackend::boundaries(&index));
+            let backend = PanicOnGet { inner: index, lookups: AtomicUsize::new(0) };
+            // A small queue bound keeps producers blocked on a full
+            // queue when the fault lands.
+            let server = Server::start(backend, ServerConfig { queue_capacity: 8, max_batch: 16 });
+            let oracle = Arc::new(LockedBTreeMap::from_pairs(&pairs));
+
+            let unavailable: usize = std::thread::scope(|scope| {
+                let pairs = &pairs;
+                let workers: Vec<_> = (0..4u64)
+                    .map(|t| {
+                        let client = server.client();
+                        let oracle = Arc::clone(&oracle);
+                        scope.spawn(move || {
+                            let mut unavailable = 0;
+                            for window in 0..250u64 {
+                                let ops: Vec<Req> = (0..8u64)
+                                    .map(|i| {
+                                        let r = mix(t << 32 | window << 8 | i);
+                                        if r.is_multiple_of(5) {
+                                            let key = 1_000_000 * (t + 1) + window * 8 + i;
+                                            Request::Insert { key: key * 2, value: r }
+                                        } else {
+                                            Request::Get { key: pairs[(r % 4000) as usize].0 }
+                                        }
+                                    })
+                                    .collect();
+                                let pending: Vec<_> =
+                                    ops.iter().map(|op| client.submit(op.clone())).collect();
+                                for (i, (op, p)) in ops.iter().zip(pending).enumerate() {
+                                    let got = p.wait();
+                                    let want = oracle_exec(&oracle, op);
+                                    if got == Response::Unavailable {
+                                        unavailable += 1;
+                                    } else {
+                                        let id = window * 8 + i as u64;
+                                        assert_same_bytes(id, &got, &want, "fault");
+                                    }
+                                }
+                            }
+                            unavailable
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert!(unavailable > 0, "the fault never fired");
+
+            // Exactly one worker died; its range fails fast, the rest serve.
+            let client = server.client();
+            let mut dead = 0;
+            for key in probes {
+                match client.call(Request::Get { key }) {
+                    Response::Unavailable => dead += 1,
+                    got => {
+                        assert_eq!(got, Response::Value(oracle.get(&key)), "live shard at {key}")
+                    }
+                }
+            }
+            assert_eq!(dead, 1, "one dead worker, three live");
+
+            let raised = catch_unwind(AssertUnwindSafe(move || server.shutdown()))
+                .err()
+                .expect("shutdown re-raises the worker panic");
+            let message = raised.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+            assert!(message.contains("injected fault"), "re-raised {message:?}");
+        });
+    }
+}
